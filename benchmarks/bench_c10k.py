@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.async_serving.bench import C10kBenchConfig, run_c10k_bench
+from repro.bench.c10k import C10kBenchConfig, run_c10k_bench
 from repro.faults.policy import RetryPolicy
 from repro.hypervisor.resumption import StaleTicketError
 

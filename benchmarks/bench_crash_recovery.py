@@ -18,7 +18,7 @@ restart from checkpoint + journal, and assert
 
 from __future__ import annotations
 
-from repro.recovery.bench import RecoveryBenchConfig, run_recovery_bench
+from repro.bench.recovery import RecoveryBenchConfig, run_recovery_bench
 
 from conftest import record_result
 

@@ -15,8 +15,9 @@ plane's acceptance criteria:
 
 from __future__ import annotations
 
+from repro.bench.chaos import ChaosConfig, run_chaos, run_escalation
 from repro.crypto.backend import available_backends
-from repro.faults import ChaosConfig, FaultKind, run_chaos, run_escalation
+from repro.faults import FaultKind
 
 from conftest import record_result
 

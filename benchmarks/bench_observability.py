@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry.obs_bench import ObsBenchConfig, run_obs_bench
+from repro.bench.obs import ObsBenchConfig, run_obs_bench
 
 from conftest import record_result
 

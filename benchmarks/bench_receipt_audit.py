@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.receipt_bench import ReceiptBenchConfig, run_receipt_bench
+from repro.bench.receipt import ReceiptBenchConfig, run_receipt_bench
 
 from conftest import record_result
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sharding.bench import ShardBenchConfig, run_shard_bench
+from repro.bench.shard import ShardBenchConfig, run_shard_bench
 
 from conftest import record_result
 

@@ -8,11 +8,6 @@ attestation+DHKE handshake across reconnects.  See
 :mod:`repro.hypervisor.resumption` for the ticket protocol.
 """
 
-from repro.async_serving.bench import (
-    C10kBenchConfig,
-    C10kBenchReport,
-    run_c10k_bench,
-)
 from repro.async_serving.reactor import (
     AsyncioReactorAdapter,
     ReactorHandle,

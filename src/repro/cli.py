@@ -29,6 +29,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.chaos import ChaosConfig, chaos_rate_row, run_chaos
+from repro.bench.registry import BENCHES, seed64
 from repro.core import HarDTAPEService, PreExecutionClient, SecurityFeatures
 from repro.workloads import EvaluationSetConfig, build_evaluation_set
 
@@ -258,8 +260,6 @@ def cmd_serve_bench(args) -> int:
 
 
 def cmd_chaos_bench(args) -> int:
-    from repro.faults import ChaosConfig, run_chaos
-
     try:
         rates = [float(token) for token in args.rates.split(",")]
     except ValueError:
@@ -269,10 +269,6 @@ def cmd_chaos_bench(args) -> int:
     if any(not 0.0 <= rate <= 1.0 for rate in rates):
         print(f"invalid --rates {args.rates!r}: fault rates must be in [0, 1]",
               file=sys.stderr)
-        return 2
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
         return 2
     if min(args.devices, args.tenants, args.requests) <= 0:
         print("invalid fleet/load shape: --devices, --tenants and --requests "
@@ -284,7 +280,6 @@ def cmd_chaos_bench(args) -> int:
           + (f", {args.workers} workers" if args.workers > 1 else ""))
     if args.workers > 1:
         from repro.perf.parallel import run_parallel
-        from repro.perf.workers import chaos_rate_row
 
         reports = run_parallel(
             chaos_rate_row,
@@ -314,234 +309,6 @@ def cmd_chaos_bench(args) -> int:
         print()
         for line in report.summary_lines():
             print(line)
-    return 0
-
-
-def cmd_trace_bench(args) -> int:
-    import json
-
-    from repro.telemetry.bench import TraceBenchConfig, run_trace_bench
-
-    if not 0.0 <= args.sample_rate <= 1.0:
-        print(f"invalid --sample-rate {args.sample_rate}: must be in [0, 1]",
-              file=sys.stderr)
-        return 2
-    if min(args.devices, args.tenants, args.requests) <= 0:
-        print("invalid fleet/load shape: --devices, --tenants and --requests "
-              "must be positive", file=sys.stderr)
-        return 2
-
-    evalset = build_evaluation_set(EvaluationSetConfig(
-        blocks=args.blocks, txs_per_block=args.txs_per_block,
-    ))
-    config = TraceBenchConfig(
-        seed=args.seed,
-        sample_rate=args.sample_rate,
-        device_count=args.devices,
-        tenants=args.tenants,
-        requests_per_tenant=args.requests,
-    )
-    report = run_trace_bench(config, evalset)
-    for line in report.summary_lines():
-        print(line)
-
-    failures = 0
-    for row in report.reconciliation:
-        if abs(row.delta_us) > config.tolerance_us:
-            print(f"RECONCILIATION FAILED: {row.name} traced "
-                  f"{row.traced_us} µs vs model {row.model_us} µs "
-                  f"(tolerance {config.tolerance_us} µs)", file=sys.stderr)
-            failures += 1
-
-    # The export must parse back and the run must reproduce byte for byte.
-    json.loads(report.chrome_json)
-    if not args.skip_determinism_check:
-        rerun = run_trace_bench(config, evalset)
-        if (rerun.chrome_json != report.chrome_json
-                or rerun.prometheus_text != report.prometheus_text):
-            print("DETERMINISM FAILED: identically seeded re-run produced "
-                  "different export bytes", file=sys.stderr)
-            failures += 1
-        else:
-            print("\ndeterminism: re-run byte-identical "
-                  f"({len(report.chrome_json)} trace bytes, "
-                  f"{len(report.prometheus_text)} metrics bytes)")
-
-    if args.trace_out:
-        with open(args.trace_out, "w") as handle:
-            handle.write(report.chrome_json)
-        print(f"wrote Chrome trace to {args.trace_out} "
-              "(load in Perfetto or chrome://tracing)")
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as handle:
-            handle.write(report.prometheus_text)
-        print(f"wrote Prometheus metrics to {args.metrics_out}")
-    return 1 if failures else 0
-
-
-def cmd_perf_bench(args) -> int:
-    from repro.perf.bench import PerfBenchConfig, run_perf_bench
-
-    if args.smoke:
-        config = PerfBenchConfig.smoke(
-            seed=args.seed, min_speedup=args.min_speedup
-        )
-    else:
-        config = PerfBenchConfig(seed=args.seed, min_speedup=args.min_speedup)
-    report = run_perf_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.identical:
-        print("PERF-BENCH FAILED: optimized outputs diverge from baseline",
-              file=sys.stderr)
-        return 1
-    if report.speedup < args.min_speedup:
-        print(f"PERF-BENCH FAILED: speedup {report.speedup:.1f}x below the "
-              f"{args.min_speedup:g}x regression gate", file=sys.stderr)
-        return 1
-    if not report.backends_identical:
-        print("PERF-BENCH FAILED: crypto backends diverge pairwise "
-              f"({', '.join(report.backend_mismatches)})", file=sys.stderr)
-        return 1
-    if report.backends and report.best_backend_speedup < args.min_speedup:
-        print(f"PERF-BENCH FAILED: best backend speedup "
-              f"{report.best_backend_speedup:.1f}x below the "
-              f"{args.min_speedup:g}x gate", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_recovery_bench(args) -> int:
-    from repro.recovery.bench import RecoveryBenchConfig, run_recovery_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = RecoveryBenchConfig.smoke(seed=args.seed)
-    else:
-        config = RecoveryBenchConfig(seed=args.seed)
-    report = run_recovery_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("RECOVERY-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_shard_bench(args) -> int:
-    from repro.sharding.bench import ShardBenchConfig, run_shard_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = ShardBenchConfig.smoke(seed=args.seed)
-    else:
-        config = ShardBenchConfig(seed=args.seed)
-    report = run_shard_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("SHARD-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_c10k_bench(args) -> int:
-    from repro.async_serving.bench import C10kBenchConfig, run_c10k_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = C10kBenchConfig.smoke(seed=args.seed)
-    else:
-        config = C10kBenchConfig(seed=args.seed)
-    if args.sessions:
-        config.concurrency_target = args.sessions
-    report = run_c10k_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("C10K-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_obs_bench(args) -> int:
-    from repro.telemetry.obs_bench import ObsBenchConfig, run_obs_bench
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = ObsBenchConfig.smoke(seed=args.seed)
-    else:
-        config = ObsBenchConfig(seed=args.seed)
-    report = run_obs_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("OBS-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_receipt_bench(args) -> int:
-    from repro.faults.receipt_bench import (
-        ReceiptBenchConfig,
-        run_receipt_bench,
-    )
-
-    if not 0 <= args.seed < 2**64:
-        print(f"invalid --seed {args.seed}: must be a non-negative 64-bit "
-              "integer", file=sys.stderr)
-        return 2
-    if args.smoke:
-        config = ReceiptBenchConfig.smoke(seed=args.seed)
-    else:
-        config = ReceiptBenchConfig(seed=args.seed)
-    report = run_receipt_bench(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.json_out}")
-    if not report.passed:
-        print("RECEIPT-BENCH FAILED: "
-              + "; ".join(report.gate_failures), file=sys.stderr)
-        return 1
     return 0
 
 
@@ -608,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos-bench",
-        help="drive the gateway under injected faults (repro.faults)",
+        help="drive the gateway under injected faults (repro.bench.chaos)",
     )
     chaos.add_argument("--rates", default="0,0.02,0.05",
                        help="comma-separated per-decision fault rates in [0, 1]")
-    chaos.add_argument("--seed", type=int, default=1,
+    chaos.add_argument("--seed", type=seed64, default=1,
                        help="fault-plan seed (non-negative, 64-bit)")
     chaos.add_argument("--devices", type=int, default=2,
                        help="HarDTAPE devices in the fleet")
@@ -626,111 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "(1 = serial; output is identical either way)")
     chaos.set_defaults(func=cmd_chaos_bench)
 
-    trace_bench = sub.add_parser(
-        "trace-bench",
-        help="traced gateway run + critical-path attribution (repro.telemetry)",
-    )
-    trace_bench.add_argument("--seed", type=int, default=7,
-                             help="sampler seed (trace is byte-reproducible)")
-    trace_bench.add_argument("--sample-rate", type=float, default=1.0,
-                             help="fraction of requests to trace, in [0, 1]")
-    trace_bench.add_argument("--devices", type=int, default=2,
-                             help="HarDTAPE devices in the fleet")
-    trace_bench.add_argument("--tenants", type=int, default=3)
-    trace_bench.add_argument("--requests", type=int, default=4,
-                             help="requests per tenant (closed loop)")
-    trace_bench.add_argument("--blocks", type=int, default=2)
-    trace_bench.add_argument("--txs-per-block", type=int, default=6)
-    trace_bench.add_argument("--trace-out", default="",
-                             help="write the Chrome trace JSON here")
-    trace_bench.add_argument("--metrics-out", default="",
-                             help="write the Prometheus text exposition here")
-    trace_bench.add_argument("--skip-determinism-check", action="store_true",
-                             help="skip the byte-identity re-run")
-    trace_bench.set_defaults(func=cmd_trace_bench)
-
-    perf_bench = sub.add_parser(
-        "perf-bench",
-        help="before/after speedup of the crypto/ORAM substrate (repro.perf)",
-    )
-    perf_bench.add_argument("--seed", type=int, default=7)
-    perf_bench.add_argument("--smoke", action="store_true",
-                            help="CI-sized workload (same checks, ~10x faster)")
-    perf_bench.add_argument("--min-speedup", type=float, default=3.0,
-                            help="fail below this optimized/baseline ratio")
-    perf_bench.add_argument("--json-out", default="",
-                            help="write the BENCH_perf.json report here")
-    perf_bench.set_defaults(func=cmd_perf_bench)
-
-    recovery_bench = sub.add_parser(
-        "recovery-bench",
-        help="crash/restart chaos + rollback-attack gates (repro.recovery)",
-    )
-    recovery_bench.add_argument("--seed", type=int, default=1)
-    recovery_bench.add_argument("--smoke", action="store_true",
-                                help="CI-sized run (same gates, faster)")
-    recovery_bench.add_argument("--json-out", default="",
-                                help="write the BENCH_recovery.json report here")
-    recovery_bench.set_defaults(func=cmd_recovery_bench)
-
-    shard_bench = sub.add_parser(
-        "shard-bench",
-        help="sharded ORAM fleet: identity, scale-out, per-shard "
-             "distinguisher (repro.sharding)",
-    )
-    shard_bench.add_argument("--seed", type=int, default=1)
-    shard_bench.add_argument("--smoke", action="store_true",
-                             help="CI-sized run (same gates, faster)")
-    shard_bench.add_argument("--json-out", default="",
-                             help="write the BENCH_shard.json report here")
-    shard_bench.set_defaults(func=cmd_shard_bench)
-
-    c10k_bench = sub.add_parser(
-        "c10k-bench",
-        help="async serving tier: 10k concurrent sessions, resumption "
-             "cost + identity gates (repro.async_serving)",
-    )
-    c10k_bench.add_argument("--seed", type=int, default=1)
-    c10k_bench.add_argument("--smoke", action="store_true",
-                            help="CI-sized run (the 10k concurrency gate "
-                                 "stays; side scenarios shrink)")
-    c10k_bench.add_argument("--sessions", type=int, default=0,
-                            help="override the concurrency target")
-    c10k_bench.add_argument("--json-out", default="",
-                            help="write the BENCH_c10k.json report here")
-    c10k_bench.set_defaults(func=cmd_c10k_bench)
-
-    obs_bench = sub.add_parser(
-        "obs-bench",
-        help="observability plane: arming-is-invisible identity, three-way "
-             "trace reconciliation, deterministic fault alerts "
-             "(repro.telemetry)",
-    )
-    obs_bench.add_argument("--seed", type=int, default=1)
-    obs_bench.add_argument("--smoke", action="store_true",
-                           help="CI-sized run (same gates, faster)")
-    obs_bench.add_argument("--json-out", default="",
-                           help="write the BENCH_obs.json report here")
-    obs_bench.set_defaults(func=cmd_obs_bench)
-
-    receipt_bench = sub.add_parser(
-        "receipt-bench",
-        help="signed pre-execution receipts: Byzantine detection, "
-             "quarantine healing, receipts-invisible identity, sublinear "
-             "audit cost (repro.faults)",
-    )
-    receipt_bench.add_argument("--seed", type=int, default=1)
-    receipt_bench.add_argument("--smoke", action="store_true",
-                               help="CI-sized run (same gates, faster)")
-    receipt_bench.add_argument("--json-out", default="",
-                               help="write the BENCH_receipt.json report here")
-    receipt_bench.set_defaults(func=cmd_receipt_bench)
+    for bench in BENCHES:
+        bench.add_parser(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:  # --help, or a usage error (status 2)
+        return exit_.code
     return args.func(args)
 
 

@@ -15,9 +15,10 @@ purpose and reproducibly:
   reports, sync roots);
 * :mod:`~repro.faults.policy` — *how it recovers*: retry with backoff,
   per-device circuit breakers, and gateway-level failover
-  (:class:`ResilientServiceExecutor`), all typed end to end;
-* :mod:`~repro.faults.harness` — the chaos harness driving serving-layer
-  load under escalating fault rates (:func:`run_chaos`).
+  (:class:`ResilientServiceExecutor`), all typed end to end.
+
+The chaos harness that drives serving-layer load under escalating fault
+rates lives in :mod:`repro.bench.chaos`.
 
 Layering: ``faults`` sits *beside* ``serving`` above the substrates.
 Substrate modules never import it — they only expose inert seams
@@ -45,13 +46,6 @@ from repro.faults.errors import (
     SyncError,
     UnknownSessionError,
 )
-from repro.faults.harness import (
-    SERVING_FAULT_KINDS,
-    ChaosConfig,
-    ChaosReport,
-    run_chaos,
-    run_escalation,
-)
 from repro.faults.injector import FaultInjector, FaultyOramServer
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule, InjectionRecord
 from repro.faults.policy import (
@@ -66,13 +60,10 @@ from repro.faults.policy import (
 
 __all__ = [
     "RECOVERABLE_ERRORS",
-    "SERVING_FAULT_KINDS",
     "AttestationError",
     "AuthenticationError",
     "BundleFailedError",
     "ChannelError",
-    "ChaosConfig",
-    "ChaosReport",
     "CircuitBreaker",
     "CircuitOpenError",
     "DmaDropError",
@@ -100,6 +91,4 @@ __all__ = [
     "RetryPolicy",
     "SyncError",
     "UnknownSessionError",
-    "run_chaos",
-    "run_escalation",
 ]

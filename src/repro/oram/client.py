@@ -230,17 +230,37 @@ class PathOramClient:
         self.stats.blocks_encrypted += 1
         return nonce + self._cipher.encrypt(nonce, body, aad)
 
-    def _decrypt_slot(
+    def _open_slot(
         self, blob: bytes, aad: bytes = b""
     ) -> tuple[int, BlockKey, bytes]:
         nonce, data = blob[:12], blob[12:]
         plain = self._cipher.decrypt(nonce, data, aad)
-        self.stats.blocks_decrypted += 1
         kind = plain[0]
         key_length = int.from_bytes(plain[1:3], "big")
         key = plain[3:3 + key_length]
         payload = plain[67:67 + self.block_size]
         return kind, key, payload
+
+    def logical_content(self, server: OramServer) -> dict[BlockKey, bytes]:
+        """Every real block's payload by key: the tree ``server`` holds,
+        opened under the pinned per-node versions, with the stash
+        overlaid.
+
+        ``server`` is the raw store, never a fault wrapper.  Reading its
+        snapshot rather than the access path, and counting nothing in
+        :attr:`stats`, means inspecting the content perturbs no
+        simulated byte.
+        """
+        content: dict[BlockKey, bytes] = {}
+        for node, bucket in enumerate(server.snapshot_tree()):
+            aad = self._bucket_aad(node, self._node_versions.get(node, 0))
+            for blob in bucket:
+                kind, key, payload = self._open_slot(blob, aad)
+                if kind == _KIND_REAL:
+                    content[key] = payload
+        for key, payload in self._stash.items():
+            content[key] = payload.ljust(self.block_size, b"\x00")
+        return content
 
     def _dummy_slot(self, aad: bytes = b"") -> bytes:
         return self._encrypt_slot(_KIND_DUMMY, b"", b"", aad)

@@ -257,13 +257,45 @@ class PyramidOramClient:
         self.stats.blocks_encrypted += 1
         return nonce + self._cipher.encrypt(nonce, bytes(body), aad)
 
-    def _decrypt_slot(self, blob: bytes, aad: bytes) -> tuple[int, BlockKey, bytes]:
+    def _open_slot(self, blob: bytes, aad: bytes) -> tuple[int, BlockKey, bytes]:
         nonce, data = blob[:12], blob[12:]
         plain = self._cipher.decrypt(nonce, data, aad)
-        self.stats.blocks_decrypted += 1
         kind = plain[0]
         key_length = int.from_bytes(plain[1:3], "big")
         return kind, plain[3:3 + key_length], plain[67:67 + self.block_size]
+
+    def _decrypt_slot(self, blob: bytes, aad: bytes) -> tuple[int, BlockKey, bytes]:
+        self.stats.blocks_decrypted += 1
+        return self._open_slot(blob, aad)
+
+    def logical_content(
+        self, server: HierarchicalOramServer
+    ) -> dict[BlockKey, bytes]:
+        """Every live block's payload by key: the levels ``server`` holds,
+        deepest first so fresher copies win, with negative witnesses
+        removing keys and the cache overlaid.
+
+        Counts nothing in :attr:`stats`; inspecting the content perturbs
+        no simulated byte.
+        """
+        content: dict[BlockKey, bytes] = {}
+        levels = server.snapshot_levels()
+        for level in sorted(levels, reverse=True):
+            meta = self._levels[level]
+            for bucket_index, blobs in enumerate(levels[level]):
+                aad = self._bucket_aad(level, meta.epoch, bucket_index)
+                for blob in blobs:
+                    kind, key, payload = self._open_slot(blob, aad)
+                    if kind == _KIND_REAL:
+                        content[key] = payload
+                    elif kind == _KIND_NEGATIVE:
+                        content.pop(key, None)
+        for key, payload in self._cache.items():
+            if payload is None:
+                content.pop(key, None)
+            else:
+                content[key] = payload
+        return content
 
     def _dummy_slot(self, aad: bytes) -> bytes:
         return self._encrypt_slot(_KIND_DUMMY, b"", b"", aad)

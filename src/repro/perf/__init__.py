@@ -10,36 +10,18 @@ simulated byte:
   client itself sealed;
 * :mod:`repro.perf.parallel` — deterministic multiprocessing fan-out
   for benchmark sweeps, with seed-ordered reduction;
-* :mod:`repro.perf.bench` — the ``perf-bench`` CLI's engine: a
-  cProfile-attributed before/after comparison against the frozen
-  pre-optimization crypto in :mod:`repro.perf.reference`, gated on
-  byte-identical outputs.
+* :mod:`repro.perf.reference` — the frozen pre-optimization crypto the
+  ``perf-bench`` engine (:mod:`repro.bench.perf`) compares against.
 """
 
 from repro.perf.memo import MemoizedAead, MemoStats
 from repro.perf.parallel import default_worker_count, run_parallel
 from repro.perf.reference import ReferenceAesGcm
 
-# bench imports the ORAM client, which imports repro.perf.memo; loading
-# it lazily (PEP 562) keeps ``import repro.oram.client`` acyclic.
-_BENCH_EXPORTS = ("PerfBenchConfig", "PerfBenchReport", "run_perf_bench")
-
-
-def __getattr__(name: str):
-    if name in _BENCH_EXPORTS:
-        from repro.perf import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "MemoStats",
     "MemoizedAead",
-    "PerfBenchConfig",
-    "PerfBenchReport",
     "ReferenceAesGcm",
     "default_worker_count",
     "run_parallel",
-    "run_perf_bench",
 ]

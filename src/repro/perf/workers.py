@@ -42,30 +42,6 @@ def serve_bench_row(item: tuple[int, str, int, float, int]) -> tuple:
     )
 
 
-def chaos_rate_row(
-    item: tuple[float, int, int, int, int, int, int],
-) -> list[str]:
-    """One chaos-bench fault rate: the report's summary lines."""
-    rate, seed, devices, tenants, requests, blocks, txs_per_block = item
-    from repro.faults import ChaosConfig, run_chaos
-    from repro.workloads import EvaluationSetConfig, build_evaluation_set
-
-    evalset = build_evaluation_set(EvaluationSetConfig(
-        blocks=blocks, txs_per_block=txs_per_block,
-    ))
-    report = run_chaos(
-        ChaosConfig(
-            seed=seed,
-            fault_rate=rate,
-            device_count=devices,
-            tenants=tenants,
-            requests_per_tenant=requests,
-        ),
-        evalset,
-    )
-    return report.summary_lines()
-
-
 def paper_scale_level(
     item: tuple[str, int, int, int],
 ) -> tuple[str, list[float], float]:

@@ -10,9 +10,6 @@ journal; recovery unseals the latest checkpoint, replays the journal
 every tenant.  Freshness of the store is pinned by the device's hardware
 monotonic counter; freshness of the SP's ORAM tree by the restored
 per-node version pins.
-
-``repro.recovery.bench`` is imported lazily (it pulls in the serving
-stack); everything else is re-exported here.
 """
 
 from repro.recovery.store import DurableStore

@@ -12,9 +12,6 @@
   recorder with sealed deterministic failure dumps.
 - :mod:`repro.telemetry.slo` — burn-rate SLO monitoring over metrics
   snapshots in virtual time.
-- :mod:`repro.telemetry.bench` / :mod:`repro.telemetry.obs_bench` —
-  the seeded bench harnesses (import them directly; they pull in the
-  serving stack).
 """
 
 from repro.telemetry.critical_path import (

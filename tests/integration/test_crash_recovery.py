@@ -16,7 +16,7 @@ checkpointing supervisor) rather than unit seams:
 
 import pytest
 
-from repro.recovery.bench import (
+from repro.bench.recovery import (
     CRASH_ERROR_TYPES,
     RecoveryBenchConfig,
     _run_deployment,
@@ -65,7 +65,7 @@ def test_every_affected_request_is_accounted(crashed):
 def test_world_digest_matches_no_crash_baseline(baseline, crashed):
     """Recovery converges: crashes mid-bundle never corrupt or fork the
     synced world state."""
-    assert crashed.digest == baseline.digest
+    assert crashed.artifacts.digest == baseline.artifacts.digest
 
 
 def test_journal_and_checkpoints_actually_flowed(crashed):
@@ -78,10 +78,9 @@ def test_checkpointing_is_byte_invisible_when_idle(config, baseline):
     """Arming the recovery plane must not perturb a healthy run: no DRBG
     draws, no clock advances, no extra trace records."""
     plain = _run_deployment(config, checkpointing=False, crash_rate=0.0)
-    assert baseline.trace_hash == plain.trace_hash
-    assert baseline.metrics_hash == plain.metrics_hash
-    assert baseline.wire_hash == plain.wire_hash
-    assert baseline.digest == plain.digest
+    assert baseline.artifacts.identity(plain.artifacts) == {
+        "trace": True, "metrics": True, "wire": True, "digest": True,
+    }
 
 
 def test_rollback_attack_detected_and_healed(config):

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.telemetry.bench import TraceBenchConfig, run_trace_bench
+from repro.bench.trace import TraceBenchConfig, run_trace_bench
 
 pytestmark = pytest.mark.telemetry
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.registry import BENCHES
 from repro.cli import build_parser, main
 
 
@@ -62,9 +63,10 @@ def test_disasm_unknown_input(capsys):
     assert main(["disasm", "not-a-contract"]) == 1
 
 
-def test_recovery_bench_rejects_bad_seed(capsys):
-    assert main(["recovery-bench", "--seed", "-1"]) == 2
-    assert main(["recovery-bench", "--seed", str(2**64)]) == 2
+@pytest.mark.parametrize("bench", [command.name for command in BENCHES])
+def test_bench_rejects_bad_seed(capsys, bench):
+    assert main([bench, "--seed", "-1"]) == 2
+    assert main([bench, "--seed", str(2**64)]) == 2
     assert "seed" in capsys.readouterr().err
 
 
@@ -80,12 +82,6 @@ def test_recovery_bench_smoke(capsys, tmp_path):
     assert parsed["passed"] is True
     assert parsed["crash"]["crashes_fired"] >= 3
     assert parsed["identity"]["digest"] is True
-
-
-def test_c10k_bench_rejects_bad_seed(capsys):
-    assert main(["c10k-bench", "--seed", "-1"]) == 2
-    assert main(["c10k-bench", "--seed", str(2**64)]) == 2
-    assert "seed" in capsys.readouterr().err
 
 
 @pytest.mark.serving

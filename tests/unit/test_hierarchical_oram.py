@@ -1,5 +1,7 @@
 """Unit tests for the Pyramid-style hierarchical ORAM backend."""
 
+import copy
+
 import pytest
 
 from repro.crypto.gcm import AuthenticationError
@@ -117,3 +119,16 @@ def test_backend_for_working_set_crossover():
     assert backend_for_working_set(4097) == "path"
     with pytest.raises(ValueError):
         backend_for_working_set(-1)
+
+
+def test_logical_content_matches_writes_and_counts_nothing():
+    client, server = _client(cache_limit=4)
+    expected = {}
+    for index in range(12):  # several rebuilds: content spans levels
+        key, value = b"k%d" % index, b"v%d" % index
+        client.write(key, value)
+        expected[key] = value.ljust(64, b"\x00")
+    assert client.read(b"ghost") is None  # a negative witness, not content
+    stats = copy.deepcopy(client.stats)
+    assert client.logical_content(server) == expected
+    assert client.stats == stats

@@ -1,5 +1,7 @@
 """Path ORAM: server geometry, client protocol, obliviousness basics."""
 
+import copy
+
 import pytest
 
 from repro.crypto.kdf import Drbg
@@ -195,3 +197,14 @@ def test_client_with_recursive_position_map():
     for i in range(20):
         assert client.read(i.to_bytes(8, "big")).rstrip(b"\x00") == b"v%d" % i
     assert pm.inner_accesses > 0
+
+
+def test_logical_content_matches_writes_and_counts_nothing(server, client):
+    expected = {}
+    for index in range(20):
+        key, value = b"blk-%d" % index, b"value-%d" % index
+        client.write(key, value)
+        expected[key] = value.ljust(256, b"\x00")
+    stats = copy.deepcopy(client.stats)
+    assert client.logical_content(server) == expected
+    assert client.stats == stats

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.perf.bench import PerfBenchConfig, run_perf_bench
+from repro.bench.perf import PerfBenchConfig, run_perf_bench
 
 
 @pytest.mark.perf
